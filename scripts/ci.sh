@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification + benchmark smoke test. Runnable locally or from CI:
 #   scripts/ci.sh [build-dir]
-# Set PDTSTORE_SKIP_TSAN=1 to skip the ThreadSanitizer stage (e.g. on
-# toolchains without TSan).
+# Set PDTSTORE_SKIP_TSAN=1, PDTSTORE_SKIP_ASAN=1 or PDTSTORE_SKIP_UBSAN=1
+# to skip the matching sanitizer stage (e.g. on toolchains without it).
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -209,19 +209,34 @@ if [[ "${PDTSTORE_SKIP_ASAN:-0}" != "1" ]]; then
       -DPDTSTORE_BUILD_BENCHES=OFF -DPDTSTORE_BUILD_EXAMPLES=OFF
   # The compressed-execution suite also runs here: borrowed spans over
   # pool-owned chunk memory and dictionary-code reads are exactly the
-  # pointer arithmetic ASan exists to check.
+  # pointer arithmetic ASan exists to check. So does encoding_test: the
+  # FOR decoder loads 8-byte words up to the last byte of the payload.
   # memory_budget_test runs here too: budget-triggered teardown paths
   # (aborted sorts, failed join builds, spill restore) free buffers on
   # error edges that the happy path never takes — use-after-free bait.
   cmake --build "$ASAN_DIR" -j "$(nproc)" \
       --target wal_test durability_test crash_recovery_fuzz_test \
-      compressed_exec_test memory_budget_test
+      compressed_exec_test memory_budget_test encoding_test
   (cd "$ASAN_DIR" && \
       ctest --output-on-failure \
-          -R "wal_test|durability_test|compressed_exec_test|memory_budget_test")
+          -R "wal_test|durability_test|compressed_exec_test|memory_budget_test|encoding_test")
   (cd "$ASAN_DIR" && \
       PDT_CRASH_SEED="$CRASH_SEED" PDT_CRASH_ITERS="$CRASH_ITERS" \
           ./crash_recovery_fuzz_test)
+fi
+
+if [[ "${PDTSTORE_SKIP_UBSAN:-0}" != "1" ]]; then
+  echo "== ubsan build + full test suite =="
+  # UndefinedBehaviorSanitizer over every suite: signed overflow, bad
+  # shifts and misaligned loads abort the test (no recovery), which is
+  # what keeps the word-at-a-time chunk decoders and the delta codec's
+  # wrapping arithmetic honest.
+  UBSAN_DIR="${BUILD_DIR}-ubsan"
+  cmake -B "$UBSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=undefined" \
+      -DPDTSTORE_BUILD_BENCHES=OFF -DPDTSTORE_BUILD_EXAMPLES=OFF
+  cmake --build "$UBSAN_DIR" -j "$(nproc)"
+  (cd "$UBSAN_DIR" && ctest --output-on-failure -j "$(nproc)")
 fi
 
 echo "CI OK"

@@ -75,9 +75,10 @@ struct StringDict {
 };
 
 /// RLE run layout of an owned vector's rows: run i covers rows
-/// [i == 0 ? 0 : ends[i-1], ends[i]). Pure accelerator metadata — the
-/// plain values are always materialized alongside — so predicate kernels
-/// may use it (one compare per run) or ignore it. Borrowed views inherit
+/// [i == 0 ? 0 : ends[i-1], ends[i]). Pure accelerator metadata — every
+/// row's value is always materialized alongside (plain, or as a
+/// dictionary code for strings) — so predicate kernels may use it (one
+/// compare per run) or ignore it. Borrowed views inherit
 /// the owner's runs; run bounds are in *owner* row coordinates, shifted
 /// by view_offset().
 struct RleRuns {

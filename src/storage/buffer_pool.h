@@ -1,7 +1,9 @@
 // Buffer pool over decoded chunks, with I/O accounting. A miss models a
-// disk read of the encoded payload: it is counted in IoStats and charged
-// at a configurable bandwidth so benches can report simulated "cold" I/O
-// time, reproducing the cold/hot distinction of the paper's Fig. 19.
+// disk read of the encoded payload: it is counted in IoStats (chunks and
+// encoded bytes) and then decoded. The pool charges no time for the read;
+// bench_fig19_tpch converts the counted bytes into simulated "cold" I/O
+// time at its configurable bandwidth, reproducing the cold/hot
+// distinction of the paper's Fig. 19.
 #ifndef PDTSTORE_STORAGE_BUFFER_POOL_H_
 #define PDTSTORE_STORAGE_BUFFER_POOL_H_
 
@@ -47,9 +49,10 @@ class BufferPool {
   /// Returns the decoded values of `chunk`, from cache or by "reading"
   /// (miss: counts chunk.DiskBytes() into the I/O stats and decodes).
   /// With `keep_encoded`, a miss decodes to the compressed-execution
-  /// representation (dictionary codes / RLE sidecar) instead of plain
-  /// values; the flag must be stable per pool key (it is: it comes from
-  /// per-store options baked into the key space).
+  /// representation (dictionary codes for DICT and RLE string chunks,
+  /// RLE run sidecar) instead of plain values; the flag must be stable
+  /// per pool key (it is: it comes from per-store options baked into the
+  /// key space).
   StatusOr<std::shared_ptr<const ColumnVector>> Fetch(
       uint64_t key, const Chunk& chunk, bool keep_encoded = false);
 

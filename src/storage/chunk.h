@@ -41,8 +41,9 @@ StatusOr<Chunk> BuildChunkForced(const ColumnVector& values, Sid start_sid,
                                  Encoding forced);
 
 /// Decodes a chunk's payload back to values. With `keep_encoded`, the
-/// output keeps the compressed-execution representation (dictionary
-/// codes, RLE run sidecar) where the encoding supports it.
+/// output keeps the compressed-execution representation where the
+/// encoding supports it: dictionary codes for DICT and RLE string chunks,
+/// an RLE run sidecar for RLE chunks (see DecodeColumn).
 Status DecodeChunk(const Chunk& chunk, ColumnVector* out,
                    bool keep_encoded = false);
 

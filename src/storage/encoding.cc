@@ -1,8 +1,11 @@
 #include "storage/encoding.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 namespace pdtstore {
 
@@ -22,6 +25,39 @@ const char* EncodingToString(Encoding e) {
   return "UNKNOWN";
 }
 
+namespace {
+
+// Multi-byte tail of ReadVarint. False on truncation (or a varint longer
+// than ten bytes); *pos has then moved past the bytes consumed.
+bool ReadVarintSlow(const char* p, size_t n, size_t* pos, uint64_t* v) {
+  uint64_t result = 0;
+  int shift = 0;
+  while (*pos < n && shift <= 63) {
+    uint8_t byte = static_cast<uint8_t>(p[*pos]);
+    ++*pos;
+    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      *v = result;
+      return true;
+    }
+    shift += 7;
+  }
+  return false;
+}
+
+// Reads the varint at *pos of p[0, n), advancing *pos. One-byte varints
+// (most dict codes, run lengths and sorted-key deltas) take the inline
+// path; callers turn `false` into Corruption once, outside the hot loop.
+inline bool ReadVarint(const char* p, size_t n, size_t* pos, uint64_t* v) {
+  if (*pos < n && static_cast<uint8_t>(p[*pos]) < 0x80) {
+    *v = static_cast<uint8_t>(p[(*pos)++]);
+    return true;
+  }
+  return ReadVarintSlow(p, n, pos, v);
+}
+
+}  // namespace
+
 void PutVarint64(std::string* out, uint64_t v) {
   while (v >= 0x80) {
     out->push_back(static_cast<char>((v & 0x7f) | 0x80));
@@ -31,43 +67,42 @@ void PutVarint64(std::string* out, uint64_t v) {
 }
 
 Status GetVarint64(const std::string& in, size_t* pos, uint64_t* v) {
-  uint64_t result = 0;
-  int shift = 0;
-  while (*pos < in.size() && shift <= 63) {
-    uint8_t byte = static_cast<uint8_t>(in[*pos]);
-    ++*pos;
-    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      *v = result;
-      return Status::OK();
-    }
-    shift += 7;
-  }
+  if (ReadVarint(in.data(), in.size(), pos, v)) return Status::OK();
   return Status::Corruption("truncated varint");
 }
 
 namespace {
-
-Status GetFixed64(const std::string& in, size_t* pos, uint64_t* v) {
-  if (*pos + 8 > in.size()) return Status::Corruption("truncated fixed64");
-  *v = DecodeFixed64(in.data() + *pos);
-  *pos += 8;
-  return Status::OK();
-}
 
 void PutLengthPrefixed(std::string* out, const std::string& s) {
   PutVarint64(out, s.size());
   out->append(s);
 }
 
-Status GetLengthPrefixed(const std::string& in, size_t* pos,
-                         std::string* s) {
+// The per-value readers below return nullptr on success or the
+// Corruption message, so hot loops build a Status only on failure.
+
+// Reads a length-prefixed string at *pos of p[0, n) as a view.
+inline const char* ReadLengthPrefixed(const char* p, size_t n, size_t* pos,
+                                      std::string_view* s) {
   uint64_t len;
-  PDT_RETURN_NOT_OK(GetVarint64(in, pos, &len));
-  if (*pos + len > in.size()) return Status::Corruption("truncated string");
-  s->assign(in.data() + *pos, len);
+  if (!ReadVarint(p, n, pos, &len)) return "truncated varint";
+  // *pos <= n here, so the subtraction cannot wrap (a sum could, for a
+  // huge crafted length).
+  if (len > n - *pos) return "truncated string";
+  *s = std::string_view(p + *pos, len);
   *pos += len;
-  return Status::OK();
+  return nullptr;
+}
+
+// Reads an RLE run length: non-zero and no longer than the `remaining`
+// rows the chunk still owes. Compared as `run > remaining` so a crafted
+// 2^64-1 run cannot wrap the bound.
+inline const char* ReadRunLength(const char* p, size_t n, size_t* pos,
+                                 size_t remaining, uint64_t* run) {
+  if (!ReadVarint(p, n, pos, run)) return "truncated varint";
+  if (*run == 0) return "empty RLE run";
+  if (*run > remaining) return "RLE overrun";
+  return nullptr;
 }
 
 // Appends one value of `col[i]` in plain form. Reads through the
@@ -89,32 +124,6 @@ void PutOnePlain(std::string* out, const ColumnVector& col, size_t i) {
       PutLengthPrefixed(out, col.StringAt(i));
       break;
   }
-}
-
-Status GetOnePlain(const std::string& in, size_t* pos, ColumnVector* out) {
-  switch (out->type()) {
-    case TypeId::kInt64: {
-      uint64_t v;
-      PDT_RETURN_NOT_OK(GetFixed64(in, pos, &v));
-      out->ints().push_back(static_cast<int64_t>(v));
-      return Status::OK();
-    }
-    case TypeId::kDouble: {
-      uint64_t bits;
-      PDT_RETURN_NOT_OK(GetFixed64(in, pos, &bits));
-      double d;
-      std::memcpy(&d, &bits, 8);
-      out->doubles().push_back(d);
-      return Status::OK();
-    }
-    case TypeId::kString: {
-      std::string s;
-      PDT_RETURN_NOT_OK(GetLengthPrefixed(in, pos, &s));
-      out->strings().push_back(std::move(s));
-      return Status::OK();
-    }
-  }
-  return Status::Internal("bad type");
 }
 
 bool ValuesEqualAt(const ColumnVector& col, size_t i, size_t j) {
@@ -142,11 +151,13 @@ Status EncodeDeltaVarint(const ColumnVector& col, std::string* out) {
   if (col.type() != TypeId::kInt64) {
     return Status::InvalidArgument("delta encoding requires INT64");
   }
-  int64_t prev = 0;
+  // Deltas wrap modulo 2^64 (no signed overflow for far-apart values);
+  // the decoder's wrapping sum restores every value exactly.
+  uint64_t prev = 0;
   const int64_t* vals = col.ints_data();
   for (size_t i = 0; i < col.size(); ++i) {
-    int64_t v = vals[i];
-    PutVarint64(out, ZigZagEncode(v - prev));
+    const uint64_t v = static_cast<uint64_t>(vals[i]);
+    PutVarint64(out, ZigZagEncode(static_cast<int64_t>(v - prev)));
     prev = v;
   }
   return Status::OK();
@@ -214,65 +225,151 @@ Status EncodeForBitPack(const ColumnVector& col, std::string* out) {
   return Status::OK();
 }
 
-Status DecodeForBitPack(const std::string& in, size_t count,
-                        ColumnVector* out) {
-  size_t pos = 0;
-  uint64_t zz;
-  PDT_RETURN_NOT_OK(GetVarint64(in, &pos, &zz));
-  int64_t min_v = ZigZagDecode(zz);
-  if (pos >= in.size()) return Status::Corruption("truncated FOR header");
-  int width = static_cast<uint8_t>(in[pos]);
-  ++pos;
-  if (width <= 0 || width > 56) {
-    return Status::Corruption("bad FOR bit width");
-  }
-  uint64_t acc = 0;
-  int acc_bits = 0;
-  const uint64_t mask = width == 64 ? ~0ULL : ((1ULL << width) - 1);
-  for (size_t i = 0; i < count; ++i) {
-    while (acc_bits < width) {
-      if (pos >= in.size()) return Status::Corruption("truncated FOR data");
-      acc |= static_cast<uint64_t>(static_cast<uint8_t>(in[pos])) << acc_bits;
-      ++pos;
-      acc_bits += 8;
+// --- decoders ---
+// Each decoder proves the payload long enough once per chunk (fixed-width
+// layouts) or once per run / value header (variable-width ones), then
+// writes straight into the output's typed storage: no per-value Status,
+// bounds check or accessor call on the fixed-width paths. This is the
+// cache-resident, branch-light decompression of Zukowski et al.,
+// "Super-Scalar RAM-CPU Cache Compression" (ICDE 2006).
+
+// Fixed-width PLAIN: one length check, then one bulk copy of the
+// little-endian words (a memcpy on little-endian hosts).
+template <typename T>
+Status DecodePlainFixed(const std::string& in, size_t count,
+                        std::vector<T>* out) {
+  static_assert(sizeof(T) == 8);
+  if (count > in.size() / 8) return Status::Corruption("truncated fixed64");
+  out->resize(count);
+  if (count == 0) return Status::OK();  // data() may be null
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out->data(), in.data(), count * 8);
+  } else {
+    for (size_t i = 0; i < count; ++i) {
+      (*out)[i] = std::bit_cast<T>(DecodeFixed64(in.data() + 8 * i));
     }
-    uint64_t off = acc & mask;
-    acc >>= width;
-    acc_bits -= width;
-    out->ints().push_back(
-        static_cast<int64_t>(static_cast<uint64_t>(min_v) + off));
   }
   return Status::OK();
 }
 
 Status DecodePlain(const std::string& in, size_t count, ColumnVector* out) {
+  switch (out->type()) {
+    case TypeId::kInt64:
+      return DecodePlainFixed(in, count, &out->ints());
+    case TypeId::kDouble:
+      return DecodePlainFixed(in, count, &out->doubles());
+    case TypeId::kString: {
+      // Every value carries at least a one-byte length prefix.
+      if (count > in.size()) return Status::Corruption("truncated string");
+      std::vector<std::string>& v = out->strings();
+      v.resize(count);
+      size_t pos = 0;
+      for (std::string& s : v) {
+        std::string_view sv;
+        if (const char* err =
+                ReadLengthPrefixed(in.data(), in.size(), &pos, &sv)) {
+          return Status::Corruption(err);
+        }
+        s.assign(sv);
+      }
+      return Status::OK();
+    }
+  }
+  return Status::Internal("bad type");
+}
+
+// Fixed-width RLE: one typed fill per run. `ends` (optional) receives the
+// row count after each run.
+template <typename T>
+Status DecodeRleFixed(const std::string& in, size_t count,
+                      std::vector<T>* out, std::vector<uint32_t>* ends) {
+  const char* p = in.data();
+  const size_t n = in.size();
+  out->resize(count);
+  T* o = out->data();
   size_t pos = 0;
-  for (size_t i = 0; i < count; ++i) {
-    PDT_RETURN_NOT_OK(GetOnePlain(in, &pos, out));
+  size_t produced = 0;
+  while (produced < count) {
+    uint64_t run;
+    if (const char* err = ReadRunLength(p, n, &pos, count - produced, &run)) {
+      return Status::Corruption(err);
+    }
+    if (8 > n - pos) return Status::Corruption("truncated fixed64");
+    std::fill_n(o + produced, run, std::bit_cast<T>(DecodeFixed64(p + pos)));
+    pos += 8;
+    produced += run;
+    if (ends) ends->push_back(static_cast<uint32_t>(produced));
+  }
+  return Status::OK();
+}
+
+// String RLE. Plain output copies each run value into its rows. With
+// `ends`, the chunk instead decodes to the DICT form (codes + a shared
+// StringDict of the distinct run values, appearance-ordered and unique)
+// and `ends` receives the run layout.
+Status DecodeRleStrings(const std::string& in, size_t count,
+                        ColumnVector* out, std::vector<uint32_t>* ends) {
+  const char* p = in.data();
+  const size_t n = in.size();
+  std::vector<std::string>* plain = ends ? nullptr : &out->strings();
+  std::shared_ptr<StringDict> dict;
+  std::vector<uint32_t> codes;
+  if (plain) {
+    plain->reserve(count);
+  } else {
+    dict = std::make_shared<StringDict>();
+    codes.resize(count);
+  }
+  std::unordered_map<std::string_view, uint32_t> code_of;
+  size_t pos = 0;
+  size_t produced = 0;
+  while (produced < count) {
+    uint64_t run;
+    std::string_view value;
+    const char* err = ReadRunLength(p, n, &pos, count - produced, &run);
+    if (!err) err = ReadLengthPrefixed(p, n, &pos, &value);
+    if (err) return Status::Corruption(err);
+    if (plain) {
+      plain->insert(plain->end(), run, std::string(value));
+    } else {
+      // Values are views into `in`, so the map keys stay valid.
+      auto [it, inserted] = code_of.try_emplace(
+          value, static_cast<uint32_t>(dict->values.size()));
+      if (inserted) {
+        dict->values.emplace_back(value);
+        dict->hashes.push_back(HashBytes(value.data(), value.size()));
+      }
+      std::fill_n(codes.data() + produced, run, it->second);
+    }
+    produced += run;
+    if (ends) ends->push_back(static_cast<uint32_t>(produced));
+  }
+  if (dict) {
+    out->AdoptDict(std::move(dict));
+    out->codes() = std::move(codes);
   }
   return Status::OK();
 }
 
 Status DecodeRle(const std::string& in, size_t count, ColumnVector* out,
                  bool keep_encoded) {
-  size_t pos = 0;
-  size_t produced = 0;
-  ColumnVector one(out->type());
-  // Values always materialize plain; with keep_encoded the run layout is
-  // additionally recorded as an RleRuns sidecar so predicate kernels can
-  // evaluate one compare per run.
+  // With keep_encoded the run layout is additionally recorded as an
+  // RleRuns sidecar so predicate kernels can evaluate one compare per run.
+  const bool keep_runs = keep_encoded && count > 0 && count <= UINT32_MAX;
   std::vector<uint32_t> ends;
-  while (produced < count) {
-    uint64_t run;
-    PDT_RETURN_NOT_OK(GetVarint64(in, &pos, &run));
-    one.Clear();
-    PDT_RETURN_NOT_OK(GetOnePlain(in, &pos, &one));
-    if (produced + run > count) return Status::Corruption("RLE overrun");
-    for (uint64_t k = 0; k < run; ++k) out->AppendFrom(one, 0);
-    produced += run;
-    if (keep_encoded) ends.push_back(static_cast<uint32_t>(produced));
+  std::vector<uint32_t>* ends_out = keep_runs ? &ends : nullptr;
+  switch (out->type()) {
+    case TypeId::kInt64:
+      PDT_RETURN_NOT_OK(DecodeRleFixed(in, count, &out->ints(), ends_out));
+      break;
+    case TypeId::kDouble:
+      PDT_RETURN_NOT_OK(DecodeRleFixed(in, count, &out->doubles(), ends_out));
+      break;
+    case TypeId::kString:
+      PDT_RETURN_NOT_OK(DecodeRleStrings(in, count, out, ends_out));
+      break;
   }
-  if (keep_encoded && count > 0 && count <= UINT32_MAX) {
+  if (keep_runs) {
     auto runs = std::make_shared<RleRuns>();
     runs->ends = std::move(ends);
     out->SetRleRuns(std::move(runs));
@@ -282,13 +379,22 @@ Status DecodeRle(const std::string& in, size_t count, ColumnVector* out,
 
 Status DecodeDeltaVarint(const std::string& in, size_t count,
                          ColumnVector* out) {
+  // Every delta takes at least one byte.
+  if (count > in.size()) return Status::Corruption("truncated varint");
+  std::vector<int64_t>& v = out->ints();
+  v.resize(count);
+  int64_t* o = v.data();
+  const char* p = in.data();
+  const size_t n = in.size();
   size_t pos = 0;
-  int64_t prev = 0;
+  uint64_t prev = 0;  // wraps like the encoder's deltas
   for (size_t i = 0; i < count; ++i) {
     uint64_t zz;
-    PDT_RETURN_NOT_OK(GetVarint64(in, &pos, &zz));
-    prev += ZigZagDecode(zz);
-    out->ints().push_back(prev);
+    if (!ReadVarint(p, n, &pos, &zz)) {
+      return Status::Corruption("truncated varint");
+    }
+    prev += static_cast<uint64_t>(ZigZagDecode(zz));
+    o[i] = static_cast<int64_t>(prev);
   }
   return Status::OK();
 }
@@ -299,9 +405,26 @@ Status DecodeDict(const std::string& in, size_t count, ColumnVector* out,
   uint64_t dict_size;
   PDT_RETURN_NOT_OK(GetVarint64(in, &pos, &dict_size));
   if (dict_size > in.size()) return Status::Corruption("dict size overflow");
+  const char* p = in.data();
+  const size_t n = in.size();
   std::vector<std::string> dict(dict_size);
   for (auto& s : dict) {
-    PDT_RETURN_NOT_OK(GetLengthPrefixed(in, &pos, &s));
+    std::string_view sv;
+    if (const char* err = ReadLengthPrefixed(p, n, &pos, &sv)) {
+      return Status::Corruption(err);
+    }
+    s.assign(sv);
+  }
+  // Every code takes at least one byte.
+  if (count > n - pos) return Status::Corruption("truncated varint");
+  std::vector<uint32_t> codes(count);
+  for (uint32_t& code : codes) {
+    uint64_t c;
+    if (!ReadVarint(p, n, &pos, &c)) {
+      return Status::Corruption("truncated varint");
+    }
+    if (c >= dict.size()) return Status::Corruption("dict code overflow");
+    code = static_cast<uint32_t>(c);
   }
   if (keep_encoded) {
     // Keep the dictionary live: the column becomes a uint32 code vector
@@ -314,23 +437,60 @@ Status DecodeDict(const std::string& in, size_t count, ColumnVector* out,
       shared->hashes.push_back(HashBytes(s.data(), s.size()));
     }
     shared->values = std::move(dict);
-    const size_t nvals = shared->values.size();
     out->AdoptDict(std::move(shared));
-    auto& codes = out->codes();
-    codes.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      uint64_t code;
-      PDT_RETURN_NOT_OK(GetVarint64(in, &pos, &code));
-      if (code >= nvals) return Status::Corruption("dict code overflow");
-      codes.push_back(static_cast<uint32_t>(code));
-    }
+    out->codes() = std::move(codes);
     return Status::OK();
   }
-  for (size_t i = 0; i < count; ++i) {
-    uint64_t code;
-    PDT_RETURN_NOT_OK(GetVarint64(in, &pos, &code));
-    if (code >= dict.size()) return Status::Corruption("dict code overflow");
-    out->strings().push_back(dict[code]);
+  std::vector<std::string>& v = out->strings();
+  v.reserve(count);
+  for (uint32_t code : codes) v.push_back(dict[code]);
+  return Status::OK();
+}
+
+Status DecodeForBitPack(const std::string& in, size_t count,
+                        ColumnVector* out) {
+  size_t pos = 0;
+  uint64_t zz;
+  PDT_RETURN_NOT_OK(GetVarint64(in, &pos, &zz));
+  const uint64_t min_v = static_cast<uint64_t>(ZigZagDecode(zz));
+  if (pos >= in.size()) return Status::Corruption("truncated FOR header");
+  const int width = static_cast<uint8_t>(in[pos]);
+  ++pos;
+  if (width <= 0 || width > 56) {
+    return Status::Corruption("bad FOR bit width");
+  }
+  // The packed offsets take ceil(count * width / 8) bytes, i.e. need
+  // count * width <= 8 * avail bits (checked without the product).
+  const char* data = in.data() + pos;
+  const size_t avail = in.size() - pos;
+  if (count > avail * 8 / width) {
+    return Status::Corruption("truncated FOR data");
+  }
+  std::vector<int64_t>& v = out->ints();
+  v.resize(count);
+  int64_t* o = v.data();
+  const uint64_t mask = (1ULL << width) - 1;
+  // Value i spans bits [i*width, (i+1)*width): at most 7 + 56 = 63 bits
+  // past byte i*width/8, so one 8-byte word load at that byte covers it
+  // whenever the word lies inside the payload, i.e. for
+  // i*width <= 8 * (avail - 8).
+  const size_t word_vals =
+      avail < 8 ? 0 : std::min(count, (avail - 8) * 8 / width + 1);
+  size_t i = 0;
+  uint64_t bit = 0;
+  for (; i < word_vals; ++i, bit += width) {
+    const uint64_t word = DecodeFixed64(data + (bit >> 3));
+    o[i] = static_cast<int64_t>(min_v + ((word >> (bit & 7)) & mask));
+  }
+  // The last few values sit in the final < 8 bytes: gather byte-wise.
+  for (; i < count; ++i, bit += width) {
+    const size_t byte = bit >> 3;
+    uint64_t word = 0;
+    for (size_t b = 0; b < 8 && byte + b < avail; ++b) {
+      word |= static_cast<uint64_t>(static_cast<uint8_t>(data[byte + b]))
+              << (8 * b);
+    }
+    o[i] = static_cast<int64_t>(min_v + ((word >> (bit & 7)) & mask));
   }
   return Status::OK();
 }
@@ -358,7 +518,6 @@ Status EncodeColumn(const ColumnVector& col, Encoding encoding,
 Status DecodeColumn(const std::string& bytes, TypeId type, Encoding encoding,
                     size_t count, ColumnVector* out, bool keep_encoded) {
   *out = ColumnVector(type);
-  out->Reserve(count);
   switch (encoding) {
     case Encoding::kPlain:
       return DecodePlain(bytes, count, out);

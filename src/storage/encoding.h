@@ -30,10 +30,12 @@ Status EncodeColumn(const ColumnVector& col, Encoding encoding,
 
 /// Decodes `bytes` (produced by EncodeColumn with the same encoding and a
 /// column of `count` values of type `type`) into `*out` (replaced).
-/// With `keep_encoded`, dictionary chunks decode to live code vectors
-/// (shared StringDict + precomputed hashes) and RLE chunks carry an
-/// RleRuns sidecar — the compressed-execution representations; values are
-/// identical either way.
+/// With `keep_encoded`, DICT chunks and RLE string chunks decode to live
+/// code vectors (a shared StringDict of unique values + precomputed
+/// hashes; for RLE, the distinct run values), and RLE chunks of every
+/// type carry an RleRuns sidecar — the compressed-execution
+/// representations; values are identical either way. Every length, run
+/// and code is bounds-checked: malformed bytes return Corruption.
 Status DecodeColumn(const std::string& bytes, TypeId type, Encoding encoding,
                     size_t count, ColumnVector* out,
                     bool keep_encoded = false);

@@ -159,15 +159,17 @@ TEST(CompressedExec, DictAndPlainHashesAgree) {
 // Encoded predicate kernels.
 // ---------------------------------------------------------------------
 
-// Same data stored four ways; every predicate shape must select the
+// Same data stored five ways; every predicate shape must select the
 // same rows, whether it runs per-row, per-run (RLE sidecar), or per
-// dictionary entry.
+// dictionary entry (DICT chunks, and RLE string chunks, which decode to
+// dictionary codes too).
 TEST(CompressedExec, EncodedPredicatesMatchDecodedReference) {
   const int64_t n = 500;
   std::vector<std::vector<Encoding>> variants = {
       {},  // heuristics
       {Encoding::kPlain, Encoding::kRle, Encoding::kDict},
       {Encoding::kForBitPack, Encoding::kPlain, Encoding::kPlain},
+      {Encoding::kPlain, Encoding::kPlain, Encoding::kRle},
   };
   auto ref_table = MakeTable(n, false);
   std::vector<std::pair<const char*, VecPredicate>> preds;
@@ -190,10 +192,16 @@ TEST(CompressedExec, EncodedPredicatesMatchDecodedReference) {
 
 // The RLE sidecar actually exists on forced-RLE columns (so the
 // run-at-a-time kernel, not the per-row loop, is what the test above
-// exercised), and run bounds reconstruct the column.
+// exercised), and run bounds reconstruct the column. A forced-RLE string
+// column arrives as dictionary codes with its runs attached.
 TEST(CompressedExec, RleSidecarPresentAndConsistent) {
   auto t = MakeTable(256, true,
-                     {Encoding::kPlain, Encoding::kRle, Encoding::kPlain});
+                     {Encoding::kPlain, Encoding::kRle, Encoding::kRle});
+  auto s = t->store().FetchChunk(2, 0);
+  ASSERT_TRUE(s.ok());
+  EXPECT_TRUE((*s)->is_dict());
+  ASSERT_NE((*s)->rle_runs(), nullptr);
+  EXPECT_EQ((*s)->rle_runs()->ends.size(), (*s)->size());  // no repeats
   auto c = t->store().FetchChunk(1, 0);
   ASSERT_TRUE(c.ok());
   const RleRuns* runs = (*c)->rle_runs();
