@@ -23,21 +23,29 @@ JoinTable JoinTable::BuildWithHashes(Batch build_rows,
                                      std::vector<size_t> keys,
                                      std::vector<uint64_t> hashes) {
   JoinTable t;
-  t.rows = std::move(build_rows);
-  t.key_cols = std::move(keys);
-  const size_t n = t.rows.num_rows();
-  if (n > 0) {
-    t.buckets.reserve(n);
-    for (size_t row = 0; row < n; ++row) {
-      t.buckets[hashes[row]].push_back(static_cast<uint32_t>(row));
-    }
+  t.rows_ = std::move(build_rows);
+  t.key_cols_ = std::move(keys);
+  t.hashes_ = std::move(hashes);
+  const size_t n = t.rows_.num_rows();
+  if (n == 0) return t;
+  // At least 2n slots, so chains average under one row per used slot.
+  size_t cap = 16;
+  while (cap < 2 * n) cap <<= 1;
+  t.heads_.assign(cap, 0);
+  t.next_.resize(n);
+  t.slot_mask_ = cap - 1;
+  // Link in reverse so each chain walks in ascending build-row order.
+  for (size_t row = n; row-- > 0;) {
+    uint32_t& head = t.heads_[t.hashes_[row] & t.slot_mask_];
+    t.next_[row] = head;
+    head = static_cast<uint32_t>(row + 1);
   }
   return t;
 }
 
 size_t PartitionedJoinTable::TotalRows() const {
   size_t n = 0;
-  for (const JoinTable& p : parts) n += p.rows.num_rows();
+  for (const JoinTable& p : parts) n += p.num_rows();
   return n;
 }
 
@@ -45,13 +53,49 @@ bool JoinTable::KeysEqual(const std::vector<size_t>& probe_keys,
                           const Batch& probe, size_t probe_row,
                           size_t build_row) const {
   for (size_t k = 0; k < probe_keys.size(); ++k) {
-    if (rows.column(key_cols[k])
+    if (rows_.column(key_cols_[k])
             .CompareAt(build_row, probe.column(probe_keys[k]),
                        probe_row) != 0) {
       return false;
     }
   }
   return true;
+}
+
+template <typename OnMatch>
+void JoinTable::ForEachMatch(const std::vector<size_t>& probe_keys,
+                             const Batch& probe, uint32_t probe_row,
+                             uint64_t hash, OnMatch on_match) const {
+  if (heads_.empty()) return;
+  for (uint32_t e = heads_[hash & slot_mask_]; e != 0; e = next_[e - 1]) {
+    const uint32_t b = e - 1;
+    if (hashes_[b] == hash && KeysEqual(probe_keys, probe, probe_row, b) &&
+        !on_match(b)) {
+      return;
+    }
+  }
+}
+
+void JoinTable::AppendMatches(const std::vector<size_t>& probe_keys,
+                              const Batch& probe, uint32_t probe_row,
+                              uint64_t hash, SelVector* probe_sel,
+                              SelVector* build_sel) const {
+  ForEachMatch(probe_keys, probe, probe_row, hash, [&](uint32_t b) {
+    probe_sel->push_back(probe_row);
+    build_sel->push_back(b);
+    return true;
+  });
+}
+
+bool JoinTable::HasMatch(const std::vector<size_t>& probe_keys,
+                         const Batch& probe, uint32_t probe_row,
+                         uint64_t hash) const {
+  bool matched = false;
+  ForEachMatch(probe_keys, probe, probe_row, hash, [&](uint32_t) {
+    matched = true;
+    return false;
+  });
+  return matched;
 }
 
 void ProbeJoinBatch(const PartitionedJoinTable& table,
@@ -64,7 +108,7 @@ void ProbeJoinBatch(const PartitionedJoinTable& table,
   // inner output then has probe columns only, as before partitioning).
   const JoinTable* layout_part = &table.parts[0];
   for (const JoinTable& p : table.parts) {
-    if (p.rows.num_columns() > 0) {
+    if (p.rows().num_columns() > 0) {
       layout_part = &p;
       break;
     }
@@ -76,10 +120,10 @@ void ProbeJoinBatch(const PartitionedJoinTable& table,
       scratch->out_proto.columns().emplace_back(in.column(c).type());
     }
     if (kind == JoinKind::kInner) {
-      for (size_t c = 0; c < layout_part->rows.num_columns(); ++c) {
+      for (size_t c = 0; c < layout_part->rows().num_columns(); ++c) {
         ids.push_back(static_cast<ColumnId>(in.num_columns() + c));
         scratch->out_proto.columns().emplace_back(
-            layout_part->rows.column(c).type());
+            layout_part->rows().column(c).type());
       }
     }
     scratch->out_proto.set_column_ids(std::move(ids));
@@ -87,8 +131,8 @@ void ProbeJoinBatch(const PartitionedJoinTable& table,
   }
   out->ResetLike(scratch->out_proto);
 
-  // One bulk hash pass per key column, then per-row bucket probes
-  // against the row's hash partition.
+  // One bulk hash pass per key column, then per-row chain walks in the
+  // row's hash partition.
   scratch->hashes.assign(n, kHashSeed);
   for (size_t k : probe_keys) {
     in.column(k).HashColumn(scratch->hashes.data());
@@ -102,21 +146,16 @@ void ProbeJoinBatch(const PartitionedJoinTable& table,
       scratch->probe_sel.clear();
       scratch->build_sel.clear();
       for (size_t row = 0; row < n; ++row) {
-        auto it = part.buckets.find(scratch->hashes[row]);
-        if (it == part.buckets.end()) continue;
-        for (uint32_t b : it->second) {
-          if (part.KeysEqual(probe_keys, in, row, b)) {
-            scratch->probe_sel.push_back(static_cast<uint32_t>(row));
-            scratch->build_sel.push_back(b);
-          }
-        }
+        part.AppendMatches(probe_keys, in, static_cast<uint32_t>(row),
+                           scratch->hashes[row], &scratch->probe_sel,
+                           &scratch->build_sel);
       }
       for (size_t c = 0; c < in.num_columns(); ++c) {
         out->column(c).AppendGather(in.column(c), scratch->probe_sel);
       }
-      for (size_t c = 0; c < part.rows.num_columns(); ++c) {
+      for (size_t c = 0; c < part.rows().num_columns(); ++c) {
         out->column(in.num_columns() + c)
-            .AppendGather(part.rows.column(c), scratch->build_sel);
+            .AppendGather(part.rows().column(c), scratch->build_sel);
       }
     } else {
       // Partitioned: route rows once, then gather per partition so
@@ -132,23 +171,17 @@ void ProbeJoinBatch(const PartitionedJoinTable& table,
       scratch->probe_sel.clear();
       for (size_t p = 0; p < table.parts.size(); ++p) {
         const JoinTable& part = table.parts[p];
-        if (part.buckets.empty()) continue;
+        if (part.num_rows() == 0) continue;
         scratch->build_sel.clear();
         const size_t probe_base = scratch->probe_sel.size();
         for (uint32_t row : scratch->part_rows[p].indices()) {
-          auto it = part.buckets.find(scratch->hashes[row]);
-          if (it == part.buckets.end()) continue;
-          for (uint32_t b : it->second) {
-            if (part.KeysEqual(probe_keys, in, row, b)) {
-              scratch->probe_sel.push_back(row);
-              scratch->build_sel.push_back(b);
-            }
-          }
+          part.AppendMatches(probe_keys, in, row, scratch->hashes[row],
+                             &scratch->probe_sel, &scratch->build_sel);
         }
         if (scratch->probe_sel.size() == probe_base) continue;
-        for (size_t c = 0; c < part.rows.num_columns(); ++c) {
+        for (size_t c = 0; c < part.rows().num_columns(); ++c) {
           out->column(in.num_columns() + c)
-              .AppendGather(part.rows.column(c), scratch->build_sel);
+              .AppendGather(part.rows().column(c), scratch->build_sel);
         }
       }
       for (size_t c = 0; c < in.num_columns(); ++c) {
@@ -163,17 +196,8 @@ void ProbeJoinBatch(const PartitionedJoinTable& table,
     scratch->keep.Reset(n);
     for (size_t row = 0; row < n; ++row) {
       const uint64_t h = scratch->hashes[row];
-      const JoinTable& part = table.parts[table.PartitionOf(h)];
-      bool matched = false;
-      auto it = part.buckets.find(h);
-      if (it != part.buckets.end()) {
-        for (uint32_t b : it->second) {
-          if (part.KeysEqual(probe_keys, in, row, b)) {
-            matched = true;
-            break;
-          }
-        }
-      }
+      const bool matched = table.parts[table.PartitionOf(h)].HasMatch(
+          probe_keys, in, static_cast<uint32_t>(row), h);
       scratch->keep.SetTo(row, matched == want);
     }
     out->AppendFiltered(in, scratch->keep);
@@ -247,11 +271,10 @@ StatusOr<bool> HashJoinNode::Next(Batch* out, size_t max_rows) {
   if (table_ == nullptr) {
     PDT_ASSIGN_OR_RETURN(table_, build_->Resolve());
   }
-  Batch in;
   while (true) {
-    PDT_ASSIGN_OR_RETURN(bool more, probe_->Next(&in, max_rows));
+    PDT_ASSIGN_OR_RETURN(bool more, probe_->Next(&in_, max_rows));
     if (!more) return false;
-    ProbeJoinBatch(*table_, probe_keys_, kind_, in, out, &scratch_);
+    ProbeJoinBatch(*table_, probe_keys_, kind_, in_, out, &scratch_);
     if (out->num_rows() > 0) return true;
   }
 }

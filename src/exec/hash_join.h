@@ -1,8 +1,9 @@
 // HashJoinNode: in-memory equi-join. The build side is fully materialized
-// into a hash table keyed by a combined 64-bit key hash (verify-on-
-// collision against the materialized build columns); probe batches are
-// hashed with one bulk HashColumn pass per key column and matches are
-// compacted with selection-vector gathers. Inner or left-semi/anti.
+// into a flat chained hash table keyed by a combined 64-bit key hash
+// (verify-on-collision against the materialized build columns); probe
+// batches are hashed with one bulk HashColumn pass per key column and
+// matches are compacted with selection-vector gathers. Inner or
+// left-semi/anti.
 //
 // The build side is factored into an immutable PartitionedJoinTable —
 // P >= 1 independent JoinTable partitions addressed by a hash-derived
@@ -17,7 +18,6 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "columnstore/batch.h"
@@ -28,15 +28,29 @@ namespace pdtstore {
 /// Join flavor.
 enum class JoinKind { kInner, kLeftSemi, kLeftAnti };
 
-/// One partition of the materialized build side: build rows plus a
-/// bucket table keyed by the combined key hash. Immutable once built, so
-/// probe workers share it without locks.
-struct JoinTable {
-  Batch rows;
-  std::vector<size_t> key_cols;
-  /// Combined key hash -> build rows with that hash, in build order.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> buckets;
-
+/// One partition of the materialized build side: build rows plus a flat
+/// chained hash table over them. Immutable once built, so probe workers
+/// share it without locks.
+///
+/// Layout (three flat arrays, no per-key allocation):
+///   heads_  power-of-two slot array with >= 2n slots, indexed by the
+///           low bits of the combined key hash; entry = 1 + first build
+///           row of the slot's chain, 0 = empty slot.
+///   next_   per build row: 1 + next row in the same slot's chain, 0 =
+///           end of chain.
+///   hashes_ per build row: its combined key hash. A probe compares it
+///           before the typed key check, so a slot collision costs one
+///           integer compare.
+/// Rows are linked in reverse, so every chain walks in ascending build-
+/// row order: duplicate matches come out in build order.
+///
+/// That is 12 bytes per build row plus 8-16 for heads_ (20-28 in all),
+/// built with three allocations. The node-per-key map it replaces
+/// (hash -> vector of rows) cost ~88 bytes and two heap allocations per
+/// distinct key: a 48-byte node chunk holding the vector header, a
+/// 32-byte chunk for the vector's buffer, and an 8-byte bucket pointer.
+class JoinTable {
+ public:
   static JoinTable Build(Batch build_rows, std::vector<size_t> keys);
   /// Build with the combined key hashes already computed (hashes[i] for
   /// row i) — the partitioned collect path hashes rows once to route
@@ -45,22 +59,50 @@ struct JoinTable {
                                    std::vector<size_t> keys,
                                    std::vector<uint64_t> hashes);
 
+  const Batch& rows() const { return rows_; }
+  size_t num_rows() const { return rows_.num_rows(); }
+
+  /// Appends (probe_row, b) to (*probe_sel, *build_sel) for every build
+  /// row b whose keys equal probe row `probe_row` of `probe`, in build
+  /// order. `hash` is the probe row's combined key hash.
+  void AppendMatches(const std::vector<size_t>& probe_keys,
+                     const Batch& probe, uint32_t probe_row, uint64_t hash,
+                     SelVector* probe_sel, SelVector* build_sel) const;
+  /// Whether any build row's keys equal the probe row's.
+  bool HasMatch(const std::vector<size_t>& probe_keys, const Batch& probe,
+                uint32_t probe_row, uint64_t hash) const;
+
+ private:
+  /// The one chain walk: calls on_match(b) for each build row b with
+  /// the probe row's hash and keys, in build order, until it returns
+  /// false.
+  template <typename OnMatch>
+  void ForEachMatch(const std::vector<size_t>& probe_keys,
+                    const Batch& probe, uint32_t probe_row, uint64_t hash,
+                    OnMatch on_match) const;
   /// Typed key equality between a probe row and a build row (the
   /// verify-on-collision step).
   bool KeysEqual(const std::vector<size_t>& probe_keys, const Batch& probe,
                  size_t probe_row, size_t build_row) const;
+
+  Batch rows_;
+  std::vector<size_t> key_cols_;
+  std::vector<uint32_t> heads_;
+  std::vector<uint32_t> next_;
+  std::vector<uint64_t> hashes_;
+  uint64_t slot_mask_ = 0;
 };
 
 /// The partition function both the build collect and the probe use.
 /// High hash bits, so the choice is independent of the low bits the
-/// per-partition bucket maps key on; P == 1 short-circuits.
+/// per-partition slot arrays index on; P == 1 short-circuits.
 inline size_t JoinPartitionOf(uint64_t hash, size_t num_partitions) {
   return num_partitions == 1 ? 0 : (hash >> 32) % num_partitions;
 }
 
 /// The published build side: P >= 1 hash partitions. Build and probe
 /// agree on PartitionOf, so a probe row only ever touches one
-/// partition's buckets. P == 1 (every serial join) behaves exactly like
+/// partition's chains. P == 1 (every serial join) behaves exactly like
 /// the single-table join.
 struct PartitionedJoinTable {
   std::vector<JoinTable> parts;
@@ -156,6 +198,7 @@ class HashJoinNode : public BatchSource {
   JoinKind kind_;
   const PartitionedJoinTable* table_ = nullptr;  // resolved on first Next
   JoinProbeScratch scratch_;
+  Batch in_;  // probe batch, reused across pulls
 };
 
 }  // namespace pdtstore

@@ -3,15 +3,14 @@
 namespace pdtstore {
 
 StatusOr<bool> ProjectNode::Next(Batch* out, size_t max_rows) {
-  Batch in;
-  PDT_ASSIGN_OR_RETURN(bool more, input_->Next(&in, max_rows));
+  PDT_ASSIGN_OR_RETURN(bool more, input_->Next(&in_, max_rows));
   if (!more) return false;
   *out = Batch();
-  out->set_start_rid(in.start_rid());
+  out->set_start_rid(in_.start_rid());
   std::vector<ColumnId> ids(exprs_.size());
   for (size_t i = 0; i < exprs_.size(); ++i) {
     ids[i] = static_cast<ColumnId>(i);
-    out->columns().push_back(exprs_[i](in));
+    out->columns().push_back(exprs_[i](in_));
   }
   out->set_column_ids(std::move(ids));
   return true;

@@ -26,6 +26,7 @@ class ProjectNode : public BatchSource {
  private:
   std::unique_ptr<BatchSource> input_;
   std::vector<ColumnExpr> exprs_;
+  Batch in_;  // reused across pulls
 };
 
 // --- expression helpers ---

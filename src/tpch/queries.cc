@@ -440,7 +440,9 @@ StatusOr<QueryResult> Q11(const TpchTables& t, const QueryOptions& o) {
   Plan joined = Join(std::move(proj), std::move(supp), {2}, {0},
                      JoinKind::kLeftSemi);
   Plan agg = Agg(std::move(joined), {0}, {{AggKind::kSum, 1}});
-  return Summarize(Sort(std::move(agg), {{1, true}}, 50));
+  // Partkey breaks ties between equal sums, so the top 50 do not depend
+  // on the order groups arrive in (it differs across thread counts).
+  return Summarize(Sort(std::move(agg), {{1, true}, {0, false}}, 50));
 }
 
 // Q12: shipping modes and order priority.

@@ -245,41 +245,117 @@ TEST(OperatorEquivalenceTest, FilterMatchesRowAtATime) {
 TEST(OperatorEquivalenceTest, HashJoinMatchesNestedLoop) {
   Random rng(6);
   Batch probe = RandomBatch(120, &rng);
-  Batch build = RandomBatch(40, &rng);
-  // Keys: (int64 col 0, string col 2) — exercises multi-column verify.
-  std::vector<size_t> keys = {0, 2};
+  // Keys (int64 col 0, string col 2) exercise multi-column verify; the
+  // lone int64 col 3 (16 values) gives chains of many duplicates.
+  const std::vector<std::vector<size_t>> key_sets = {{0, 2}, {3}};
+  // 5000 build rows outgrow the table's minimum slot count.
+  for (size_t build_rows : {size_t{0}, size_t{1}, size_t{40}, size_t{5000}}) {
+    Batch build = RandomBatch(build_rows, &rng);
+    for (const std::vector<size_t>& keys : key_sets) {
+      SCOPED_TRACE("build_rows=" + std::to_string(build_rows) +
+                   " keys=" + std::to_string(keys.size()));
+      auto run = [&](JoinKind kind) {
+        HashJoinNode node(std::make_unique<VectorSource>(probe),
+                          std::make_unique<VectorSource>(build), keys, keys,
+                          kind);
+        return Drain(&node);
+      };
+      auto match = [&](size_t p, size_t b) {
+        for (size_t k : keys) {
+          if (probe.column(k).CompareAt(p, build.column(k), b) != 0)
+            return false;
+        }
+        return true;
+      };
 
-  auto run = [&](JoinKind kind) {
-    HashJoinNode node(std::make_unique<VectorSource>(probe),
-                      std::make_unique<VectorSource>(build), keys, keys,
-                      kind);
-    return Drain(&node);
-  };
-  auto match = [&](size_t p, size_t b) {
-    for (size_t k : keys) {
-      if (probe.column(k).CompareAt(p, build.column(k), b) != 0)
-        return false;
+      // Nested loop in (probe row, build row) order: the exact order
+      // the join must emit.
+      std::vector<Tuple> inner, semi, anti;
+      for (size_t p = 0; p < probe.num_rows(); ++p) {
+        bool any = false;
+        for (size_t b = 0; b < build.num_rows(); ++b) {
+          if (!match(p, b)) continue;
+          any = true;
+          Tuple t = probe.RowAsTuple(p);
+          Tuple bt = build.RowAsTuple(b);
+          t.insert(t.end(), bt.begin(), bt.end());
+          inner.push_back(std::move(t));
+        }
+        (any ? semi : anti).push_back(probe.RowAsTuple(p));
+      }
+      if (build_rows >= 40) {
+        ASSERT_FALSE(inner.empty());  // keys overlap by construction
+      }
+      ExpectRowsEqual(run(JoinKind::kInner), inner);
+      ExpectRowsEqual(run(JoinKind::kLeftSemi), semi);
+      ExpectRowsEqual(run(JoinKind::kLeftAnti), anti);
     }
-    return true;
-  };
-
-  std::vector<Tuple> inner, semi, anti;
-  for (size_t p = 0; p < probe.num_rows(); ++p) {
-    bool any = false;
-    for (size_t b = 0; b < build.num_rows(); ++b) {
-      if (!match(p, b)) continue;
-      any = true;
-      Tuple t = probe.RowAsTuple(p);
-      Tuple bt = build.RowAsTuple(b);
-      t.insert(t.end(), bt.begin(), bt.end());
-      inner.push_back(std::move(t));
-    }
-    (any ? semi : anti).push_back(probe.RowAsTuple(p));
   }
-  ASSERT_FALSE(inner.empty());  // keys overlap by construction
-  ExpectRowsEqual(run(JoinKind::kInner), inner);
-  ExpectRowsEqual(run(JoinKind::kLeftSemi), semi);
-  ExpectRowsEqual(run(JoinKind::kLeftAnti), anti);
+}
+
+// Distinct keys forced onto one full 64-bit hash: every probe walks the
+// same chain and the typed key check alone must separate the rows.
+TEST(OperatorEquivalenceTest, JoinTableVerifiesKeysBehindEqualHashes) {
+  auto int_column = [](std::initializer_list<int64_t> vals) {
+    ColumnVector col(TypeId::kInt64);
+    for (int64_t v : vals) col.Append(Value(v));
+    return col;
+  };
+  auto make_batch = [](std::vector<ColumnVector> cols) {
+    Batch b;
+    std::vector<ColumnId> ids;
+    for (ColumnVector& col : cols) {
+      ids.push_back(static_cast<ColumnId>(b.columns().size()));
+      b.columns().push_back(std::move(col));
+    }
+    b.set_column_ids(std::move(ids));
+    return b;
+  };
+  // Build: (key, build row id).
+  Batch build = make_batch({int_column({5, 7, 5, 9, 7, 5}),
+                            int_column({0, 1, 2, 3, 4, 5})});
+  Batch probe = make_batch({int_column({5, 7, 11, 5, 9})});
+  const std::vector<size_t> keys = {0};
+
+  // Every build row gets the hash the probe computes for key 5.
+  uint64_t h5 = kHashSeed;
+  int_column({5}).HashColumn(&h5);
+  PartitionedJoinTable table;
+  table.parts.push_back(JoinTable::BuildWithHashes(
+      build, keys, std::vector<uint64_t>(build.num_rows(), h5)));
+
+  // Hand the same hash to every probe row too: only equal keys match,
+  // duplicates in build order.
+  const JoinTable& part = table.parts[0];
+  SelVector probe_sel, build_sel;
+  for (uint32_t row = 0; row < probe.num_rows(); ++row) {
+    part.AppendMatches(keys, probe, row, h5, &probe_sel, &build_sel);
+    const bool any = row != 2;  // key 11 is not on the build side
+    EXPECT_EQ(part.HasMatch(keys, probe, row, h5), any) << "row " << row;
+  }
+  const std::vector<uint32_t> want_probe = {0, 0, 0, 1, 1, 3, 3, 3, 4};
+  const std::vector<uint32_t> want_build = {0, 2, 5, 1, 4, 0, 2, 5, 3};
+  EXPECT_EQ(probe_sel.indices(), want_probe);
+  EXPECT_EQ(build_sel.indices(), want_build);
+
+  // Through ProbeJoinBatch the probe hashes its own keys, so only the
+  // key-5 rows land on the chain. Semi/anti emit each probe row once.
+  auto probe_rows = [&](JoinKind kind) {
+    JoinProbeScratch scratch;
+    Batch out;
+    ProbeJoinBatch(table, keys, kind, probe, &out, &scratch);
+    return BatchRows(out);
+  };
+  auto row = [](int64_t p) { return Tuple{Value(p)}; };
+  auto joined = [](int64_t build_row) {
+    return Tuple{Value(int64_t{5}), Value(int64_t{5}), Value(build_row)};
+  };
+  ExpectRowsEqual(probe_rows(JoinKind::kInner),
+                  {joined(0), joined(2), joined(5), joined(0), joined(2),
+                   joined(5)});
+  ExpectRowsEqual(probe_rows(JoinKind::kLeftSemi), {row(5), row(5)});
+  ExpectRowsEqual(probe_rows(JoinKind::kLeftAnti),
+                  {row(7), row(11), row(9)});
 }
 
 TEST(OperatorEquivalenceTest, HashAggMatchesRowAtATime) {

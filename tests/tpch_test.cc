@@ -131,6 +131,36 @@ TEST_P(TpchQueryTest, BackendsAgreeUnderUpdateLoad) {
 INSTANTIATE_TEST_SUITE_P(AllQueries, TpchQueryTest,
                          ::testing::Range(1, 23));
 
+// Serial and parallel plans must return the same digest for every
+// query: row counts exactly, checksums up to floating-point summation
+// order. A top-N cut needs a total order to pass this.
+TEST(TpchThreadsTest, SerialAndFourThreadsAgreeOnEveryQuery) {
+  GenOptions gen = SmallGen();
+  auto streams = MakeUpdateStreams(gen, 2, 0.005);
+  ASSERT_TRUE(streams.ok());
+  Database db;
+  auto tables = GenerateInto(&db, gen, TableOptions{});
+  ASSERT_TRUE(tables.ok()) << tables.status().ToString();
+  for (const auto& s : *streams) {
+    ASSERT_TRUE(ApplyUpdateStream(s, &*tables).ok());
+  }
+  QueryOptions parallel;
+  parallel.num_threads = 4;
+  // Small morsels spread even SF 0.002 tables over every worker, so the
+  // parallel aggregates merge partial states in a varying order.
+  parallel.morsel_rows = 64;
+  for (int q = 1; q <= 22; ++q) {
+    auto serial = RunTpchQuery(q, *tables);
+    auto par = RunTpchQuery(q, *tables, parallel);
+    ASSERT_TRUE(serial.ok()) << "q" << q << ": " << serial.status().ToString();
+    ASSERT_TRUE(par.ok()) << "q" << q << ": " << par.status().ToString();
+    EXPECT_EQ(serial->rows, par->rows) << "q" << q;
+    EXPECT_NEAR(serial->checksum, par->checksum,
+                1e-6 * (1.0 + std::abs(serial->checksum)))
+        << "q" << q;
+  }
+}
+
 TEST(TpchQueryMetaTest, UpdatedTableFootprint) {
   EXPECT_FALSE(QueryTouchesUpdatedTables(2));
   EXPECT_FALSE(QueryTouchesUpdatedTables(11));
