@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -68,6 +69,21 @@ double BestOf(int reps, double (*fn)(const void*), const void* arg) {
   double best = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) best = std::min(best, fn(arg));
   return best;
+}
+
+// All `reps` timings of fn, sorted ascending.
+std::vector<double> SortedTimes(int reps, double (*fn)(const void*),
+                                const void* arg) {
+  std::vector<double> ms;
+  for (int r = 0; r < reps; ++r) ms.push_back(fn(arg));
+  std::sort(ms.begin(), ms.end());
+  return ms;
+}
+
+// Nearest-rank quantile of sorted timings.
+double Quantile(const std::vector<double>& sorted, double q) {
+  return sorted[static_cast<size_t>(q * static_cast<double>(sorted.size() - 1) +
+                                    0.5)];
 }
 
 // ------------------------------------------------------------------
@@ -364,6 +380,88 @@ double DictGroupByMs(const void* p) {
   return ms;
 }
 
+// Q1-shaped aggregation: two low-cardinality string keys (4 live
+// groups) under seven SUM/AVG aggregates plus COUNT, scanned straight
+// into HashAggNode. Encoded = per-chunk dictionary codes (the
+// dictionary key layout), decoded = plain strings (the generic layout).
+std::shared_ptr<const Schema> Q1ShapedSchema() {
+  auto s = Schema::Make({{"k", TypeId::kInt64},
+                         {"returnflag", TypeId::kString},
+                         {"linestatus", TypeId::kString},
+                         {"quantity", TypeId::kDouble},
+                         {"price", TypeId::kDouble},
+                         {"discount", TypeId::kDouble},
+                         {"tax", TypeId::kDouble}},
+                        {0});
+  return std::make_shared<const Schema>(std::move(*s));
+}
+
+std::unique_ptr<Table> BuildQ1ShapedTable(size_t rows, bool encoded) {
+  TableOptions opts;
+  opts.store.encoded_exec = encoded;
+  if (encoded) {
+    opts.store.forced_encodings = {Encoding::kPlain, Encoding::kDict,
+                                   Encoding::kDict,  Encoding::kPlain,
+                                   Encoding::kPlain, Encoding::kPlain,
+                                   Encoding::kPlain};
+  }
+  auto t = std::make_unique<Table>("q1_shaped", Q1ShapedSchema(), opts);
+  // TPC-H's four (returnflag, linestatus) groups at roughly Q1's mix.
+  static const char* const kFlags[][2] = {
+      {"A", "F"}, {"N", "F"}, {"N", "O"}, {"R", "F"}};
+  static const uint32_t kWeightUpTo[] = {25, 26, 75, 100};
+  Random rng(29);
+  std::vector<ColumnVector> data;
+  data.emplace_back(TypeId::kInt64);
+  data.emplace_back(TypeId::kString);
+  data.emplace_back(TypeId::kString);
+  for (int c = 0; c < 4; ++c) data.emplace_back(TypeId::kDouble);
+  for (auto& c : data) c.Reserve(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    const uint32_t w = static_cast<uint32_t>(rng.Uniform(100));
+    size_t g = 0;
+    while (w >= kWeightUpTo[g]) ++g;
+    data[0].ints().push_back(static_cast<int64_t>(i));
+    data[1].strings().push_back(kFlags[g][0]);
+    data[2].strings().push_back(kFlags[g][1]);
+    data[3].doubles().push_back(static_cast<double>(1 + rng.Uniform(50)));
+    data[4].doubles().push_back(900.0 + rng.NextDouble() * 100000.0);
+    data[5].doubles().push_back(static_cast<double>(rng.Uniform(11)) / 100);
+    data[6].doubles().push_back(static_cast<double>(rng.Uniform(9)) / 100);
+  }
+  Status st = t->LoadColumns(std::move(data));
+  if (!st.ok()) std::abort();
+  // Warm the pool so the timed loops never decode.
+  Batch b;
+  auto scan = t->Scan({1, 2, 3, 4, 5, 6});
+  while (true) {
+    auto more = scan->Next(&b, kDefaultBatchSize);
+    if (!more.ok() || !*more) break;
+  }
+  return t;
+}
+
+double Q1ShapedAggMs(const void* p) {
+  const auto* a = static_cast<const TableArgs*>(p);
+  Stopwatch sw;
+  // Batch layout: 0/1 = keys, 2 = quantity, 3 = price, 4 = discount,
+  // 5 = tax.
+  HashAggNode agg(a->table->Scan({1, 2, 3, 4, 5, 6}), {0, 1},
+                  {{AggKind::kSum, 2},
+                   {AggKind::kSum, 3},
+                   {AggKind::kSum, 4},
+                   {AggKind::kSum, 5},
+                   {AggKind::kAvg, 2},
+                   {AggKind::kAvg, 3},
+                   {AggKind::kAvg, 4},
+                   {AggKind::kCount, 0}});
+  Batch out;
+  auto more = agg.Next(&out, std::numeric_limits<size_t>::max());
+  double ms = sw.ElapsedMillis();
+  if (!more.ok() || !*more || out.num_rows() != 4) std::abort();
+  return ms;
+}
+
 double RlePredicateMs(const void* p) {
   const auto* a = static_cast<const TableArgs*>(p);
   Stopwatch sw;
@@ -547,6 +645,30 @@ int main(int argc, char** argv) {
     (void)DictGroupByMs(&enc);
     Report(&json, "dict_group_by", rows, BestOf(reps, DictGroupByMs, &dec),
            BestOf(reps, DictGroupByMs, &enc));
+
+    auto q1_encoded = BuildQ1ShapedTable(rows, /*encoded=*/true);
+    auto q1_decoded = BuildQ1ShapedTable(rows, /*encoded=*/false);
+    TableArgs q1_enc{q1_encoded.get()};
+    TableArgs q1_dec{q1_decoded.get()};
+    (void)Q1ShapedAggMs(&q1_dec);  // warm
+    (void)Q1ShapedAggMs(&q1_enc);
+    const std::vector<double> base_ms =
+        SortedTimes(reps, Q1ShapedAggMs, &q1_dec);
+    const std::vector<double> kern_ms =
+        SortedTimes(reps, Q1ShapedAggMs, &q1_enc);
+    Report(&json, "hash_agg_dict_keys", rows, base_ms.front(),
+           kern_ms.front());
+    // Median over the repeats with the interquartile spread beside it.
+    json.Metric("hash_agg_dict_keys", "baseline_median_ms",
+                Quantile(base_ms, 0.5));
+    json.Metric("hash_agg_dict_keys", "baseline_iqr_ms",
+                Quantile(base_ms, 0.75) - Quantile(base_ms, 0.25));
+    json.Metric("hash_agg_dict_keys", "kernel_median_ms",
+                Quantile(kern_ms, 0.5));
+    json.Metric("hash_agg_dict_keys", "kernel_iqr_ms",
+                Quantile(kern_ms, 0.75) - Quantile(kern_ms, 0.25));
+    json.Metric("hash_agg_dict_keys", "hardware_threads",
+                static_cast<double>(std::thread::hardware_concurrency()));
 
     // ~6% selective range over the run-length column.
     enc.lo = dec.lo = static_cast<int64_t>(rows / 512 / 2);

@@ -218,13 +218,17 @@ if [[ "${PDTSTORE_SKIP_ASAN:-0}" != "1" ]]; then
   # parallel_sort_join_test) run here because the join hash table's
   # chain walk is raw index arithmetic into its flat heads/next arrays,
   # serial and partitioned, where an off-by-one reads past the table.
+  # tpch_test runs here because aggregation's per-batch group memo is
+  # indexed by dictionary codes read from buffer-pool chunk memory: a
+  # code past its dictionary would read past the memo, and the TPC-H
+  # queries are where real per-chunk dictionaries reach the aggregation.
   cmake --build "$ASAN_DIR" -j "$(nproc)" \
       --target wal_test durability_test crash_recovery_fuzz_test \
       compressed_exec_test memory_budget_test encoding_test \
-      exec_kernels_test pipeline_test parallel_sort_join_test
+      exec_kernels_test pipeline_test parallel_sort_join_test tpch_test
   (cd "$ASAN_DIR" && \
       ctest --output-on-failure \
-          -R "wal_test|durability_test|compressed_exec_test|memory_budget_test|encoding_test|exec_kernels_test|pipeline_test|parallel_sort_join_test")
+          -R "wal_test|durability_test|compressed_exec_test|memory_budget_test|encoding_test|exec_kernels_test|pipeline_test|parallel_sort_join_test|tpch_test")
   (cd "$ASAN_DIR" && \
       PDT_CRASH_SEED="$CRASH_SEED" PDT_CRASH_ITERS="$CRASH_ITERS" \
           ./crash_recovery_fuzz_test)

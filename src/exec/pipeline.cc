@@ -353,17 +353,12 @@ class PartialAggSink : public PipelineSink {
       : group_by_(std::move(group_by)),
         aggs_(std::move(aggs)),
         merged_(group_by_, aggs_),
-        lease_(lease),
-        // Per-group estimate: the key values + hash + slot + count +
-        // one accumulator per aggregate. The budgets account growth,
-        // not exact heap bytes.
-        group_bytes_(48 + 16 * aggs_.size()) {}
+        lease_(lease) {}
 
   struct State : PipelineOpState {
     State(const std::vector<size_t>& gb, const std::vector<AggSpec>& aggs)
         : partial(gb, aggs) {}
     AggregationState partial;
-    size_t charged_groups = 0;
   };
 
   std::unique_ptr<PipelineOpState> MakeState() const override {
@@ -373,15 +368,8 @@ class PartialAggSink : public PipelineSink {
   Status Sink(Batch* batch, PipelineOpState* state, size_t) override {
     State* s = static_cast<State*>(state);
     PDT_RETURN_NOT_OK(s->partial.Absorb(*batch));
-    if (lease_ != nullptr) {
-      // Charge table growth (monotone): new groups since the last batch.
-      const size_t groups = s->partial.num_groups();
-      if (groups > s->charged_groups) {
-        PDT_RETURN_NOT_OK(
-            lease_->Charge((groups - s->charged_groups) * group_bytes_));
-        s->charged_groups = groups;
-      }
-    }
+    // Charge table growth (monotone): new groups since the last batch.
+    if (lease_ != nullptr) return s->partial.ChargeGrowth(lease_);
     return Status::OK();
   }
 
@@ -396,7 +384,6 @@ class PartialAggSink : public PipelineSink {
   std::vector<AggSpec> aggs_;
   AggregationState merged_;
   BudgetLease* lease_;
-  size_t group_bytes_;
 };
 
 /// Lazy parallel aggregation: runs the pipeline into per-worker partial

@@ -211,6 +211,37 @@ std::vector<Tuple> Drain(BatchSource* src, size_t batch = 7) {
   return rows.ok() ? *rows : std::vector<Tuple>{};
 }
 
+// Yields its batches one per pull, each cut to at most `slice` rows —
+// the batch boundaries an aggregation sees are the test's choice.
+class SlicedSource : public BatchSource {
+ public:
+  SlicedSource(std::vector<Batch> batches, size_t slice)
+      : batches_(std::move(batches)), slice_(slice) {}
+
+  StatusOr<bool> Next(Batch* out, size_t max_rows) override {
+    while (batch_ < batches_.size() && row_ >= batches_[batch_].num_rows()) {
+      ++batch_;
+      row_ = 0;
+    }
+    if (batch_ >= batches_.size()) return false;
+    const Batch& b = batches_[batch_];
+    const size_t end =
+        std::min({b.num_rows(), row_ + slice_, row_ + max_rows});
+    out->ResetLike(b);
+    for (size_t c = 0; c < b.num_columns(); ++c) {
+      out->column(c).AppendRange(b.column(c), row_, end);
+    }
+    row_ = end;
+    return true;
+  }
+
+ private:
+  std::vector<Batch> batches_;
+  size_t slice_;
+  size_t batch_ = 0;
+  size_t row_ = 0;
+};
+
 void ExpectRowsEqual(const std::vector<Tuple>& got,
                      const std::vector<Tuple>& want) {
   ASSERT_EQ(got.size(), want.size());
@@ -360,7 +391,7 @@ TEST(OperatorEquivalenceTest, JoinTableVerifiesKeysBehindEqualHashes) {
 
 TEST(OperatorEquivalenceTest, HashAggMatchesRowAtATime) {
   Random rng(7);
-  for (size_t rows : {size_t{0}, size_t{1}, size_t{500}}) {
+  for (size_t rows : {size_t{0}, size_t{1}, size_t{500}, size_t{2500}}) {
     Batch input = RandomBatch(rows, &rng);
     // Group by (string col 2, int64 col 3); aggregate over cols 0 and 1.
     std::vector<size_t> group_by = {2, 3};
@@ -369,9 +400,6 @@ TEST(OperatorEquivalenceTest, HashAggMatchesRowAtATime) {
                                  {AggKind::kMin, 0},
                                  {AggKind::kMax, 1},
                                  {AggKind::kAvg, 0}};
-
-    HashAggNode node(std::make_unique<VectorSource>(input), group_by, aggs);
-    auto got = Drain(&node);
 
     // Reference: first-appearance-ordered groups over row tuples.
     struct Ref {
@@ -416,8 +444,201 @@ TEST(OperatorEquivalenceTest, HashAggMatchesRowAtATime) {
       t.emplace_back(r.sum0 / static_cast<double>(r.count));
       want.push_back(std::move(t));
     }
-    ExpectRowsEqual(got, want);
+    // The input in one batch, then cut into batches of 1, 7 and 1024
+    // rows: the multi-batch path and the table pre-sizing carried from
+    // one batch to the next must not change the result.
+    for (size_t slice : {rows + 1, size_t{1}, size_t{7}, size_t{1024}}) {
+      SCOPED_TRACE("rows=" + std::to_string(rows) +
+                   " slice=" + std::to_string(slice));
+      HashAggNode node(std::make_unique<SlicedSource>(
+                           std::vector<Batch>{input}, slice),
+                       group_by, aggs);
+      ExpectRowsEqual(Drain(&node), want);
+    }
   }
+}
+
+// Groups in first-appearance order with per-group count and SUM / AVG /
+// MIN over the value column, accumulated row at a time in input order.
+struct AggRef {
+  Tuple key;
+  int64_t count = 0;
+  double sum = 0, min = 1e300;
+};
+
+std::vector<AggRef> RowAtATimeAgg(const std::vector<Batch>& batches,
+                                  const std::vector<size_t>& group_by,
+                                  size_t value_col) {
+  std::vector<AggRef> refs;
+  for (const Batch& b : batches) {
+    for (size_t i = 0; i < b.num_rows(); ++i) {
+      Tuple key;
+      for (size_t c : group_by) key.push_back(b.column(c).GetValue(i));
+      auto it = std::find_if(refs.begin(), refs.end(), [&](const AggRef& r) {
+        return CompareTuples(r.key, key) == 0;
+      });
+      if (it == refs.end()) {
+        refs.emplace_back();
+        refs.back().key = key;
+        it = refs.end() - 1;
+      }
+      const double v = b.column(value_col).doubles_data()[i];
+      ++it->count;
+      it->sum += v;
+      it->min = std::min(it->min, v);
+    }
+  }
+  return refs;
+}
+
+// Aggregates `batches` (one Absorb per batch) and checks every group,
+// in order, against the row-at-a-time reference. Sums and averages must
+// be bit-identical: each accumulator adds its rows in input order.
+void ExpectAggMatchesReference(const std::vector<Batch>& batches,
+                               const std::vector<size_t>& group_by,
+                               size_t value_col) {
+  const std::vector<AggSpec> aggs = {{AggKind::kSum, value_col},
+                                     {AggKind::kCount, 0},
+                                     {AggKind::kAvg, value_col},
+                                     {AggKind::kMin, value_col}};
+  HashAggNode node(std::make_unique<SlicedSource>(batches, kDefaultBatchSize),
+                   group_by, aggs);
+  auto got = MaterializeAll(&node);
+  ASSERT_TRUE(got.ok());
+  const std::vector<AggRef> want = RowAtATimeAgg(batches, group_by, value_col);
+  ASSERT_EQ(got->num_rows(), want.size());
+  const size_t k = group_by.size();
+  for (size_t g = 0; g < want.size(); ++g) {
+    for (size_t c = 0; c < k; ++c) {
+      EXPECT_EQ(got->column(c).GetValue(g), want[g].key[c]) << "group " << g;
+    }
+    EXPECT_EQ(got->column(k).doubles_data()[g], want[g].sum) << "group " << g;
+    EXPECT_EQ(got->column(k + 1).ints_data()[g], want[g].count)
+        << "group " << g;
+    EXPECT_EQ(got->column(k + 2).doubles_data()[g],
+              want[g].sum / static_cast<double>(want[g].count))
+        << "group " << g;
+    EXPECT_EQ(got->column(k + 3).doubles_data()[g], want[g].min)
+        << "group " << g;
+  }
+}
+
+// Values whose sums round differently under any other addition order.
+double OrderSensitiveValue(size_t i) {
+  static const double kValues[] = {0.1, 1e16, -1e16, 3.3, 1e-3, 7.25, -2.2};
+  return kValues[i % 7] * static_cast<double>(1 + i % 5);
+}
+
+// Every chunk decodes its strings under its own StringDict, so group
+// keys reach the aggregation as codes that mean something different in
+// each batch. The per-batch code memo must never carry a code's group
+// into the next batch.
+TEST(OperatorEquivalenceTest, HashAggDictionaryKeysAcrossBatches) {
+  auto dict = [](std::vector<std::string> values) {
+    auto d = std::make_shared<StringDict>();
+    for (const std::string& v : values) {
+      d->hashes.push_back(HashBytes(v.data(), v.size()));
+    }
+    d->values = std::move(values);
+    return std::shared_ptr<const StringDict>(std::move(d));
+  };
+  auto dict_column = [](std::shared_ptr<const StringDict> d,
+                        std::vector<uint32_t> codes) {
+    ColumnVector col(TypeId::kString);
+    col.AdoptDict(std::move(d));
+    col.codes() = std::move(codes);
+    return col;
+  };
+  size_t next_value = 0;
+  auto make_batch = [&](ColumnVector k0, ColumnVector k1) {
+    Batch b;
+    ColumnVector v(TypeId::kDouble);
+    for (size_t i = 0; i < k0.size(); ++i) {
+      v.Append(Value(OrderSensitiveValue(next_value++)));
+    }
+    b.columns().push_back(std::move(k0));
+    b.columns().push_back(std::move(k1));
+    b.columns().push_back(std::move(v));
+    b.set_column_ids({0, 1, 2});
+    return b;
+  };
+
+  Random rng(11);
+  auto codes = [&](size_t rows, size_t dict_size) {
+    std::vector<uint32_t> out(rows);
+    for (uint32_t& c : out) {
+      c = static_cast<uint32_t>(rng.Uniform(dict_size));
+    }
+    return out;
+  };
+
+  std::vector<Batch> batches;
+  // Batch 1: 3 x 2 codes over 30 rows, so combinations repeat and the
+  // memo applies.
+  batches.push_back(
+      make_batch(dict_column(dict({"a", "b", "c"}), codes(30, 3)),
+                 dict_column(dict({"x", "y"}), codes(30, 2))));
+  // Batch 2: the same codes now name other strings ("c" under code 0),
+  // and "d" exists in this dictionary only ("b" is missing).
+  batches.push_back(
+      make_batch(dict_column(dict({"c", "a", "d"}), codes(30, 3)),
+                 dict_column(dict({"y", "x"}), codes(30, 2))));
+  // Batch 3: a dictionary larger than its batch, so the memo is skipped
+  // and the rows probe one by one.
+  std::vector<std::string> wide;
+  for (int i = 0; i < 40; ++i) wide.push_back("w" + std::to_string(i));
+  wide[7] = "a";
+  wide[30] = "d";
+  batches.push_back(make_batch(dict_column(dict(wide), {7, 30, 12, 7, 12}),
+                               dict_column(dict({"x", "y", "z"}),
+                                           {0, 1, 2, 0, 2})));
+  // Batch 4: plain strings.
+  ColumnVector p0(TypeId::kString), p1(TypeId::kString);
+  for (const char* s : {"b", "d", "w12", "a", "e", "c"}) p0.Append(Value(s));
+  for (const char* s : {"y", "y", "z", "x", "x", "x"}) p1.Append(Value(s));
+  batches.push_back(make_batch(std::move(p0), std::move(p1)));
+  // Batch 5: batch 1's strings under reversed codes.
+  batches.push_back(
+      make_batch(dict_column(dict({"c", "b", "a"}), codes(24, 3)),
+                 dict_column(dict({"y", "x"}), codes(24, 2))));
+
+  ExpectAggMatchesReference(batches, {0, 1}, 2);
+  ExpectAggMatchesReference(batches, {1}, 2);
+  // Global aggregation: every row lands in the one group.
+  ExpectAggMatchesReference(batches, {}, 2);
+}
+
+// A single int64 key (the inline-verify layout): repeated runs,
+// interleaved keys and runs that continue across a batch boundary.
+TEST(OperatorEquivalenceTest, HashAggInt64KeyRepeatsAndInterleaves) {
+  size_t next_value = 0;
+  auto make_batch = [&](std::initializer_list<int64_t> keys) {
+    Batch b;
+    ColumnVector k(TypeId::kInt64), v(TypeId::kDouble);
+    for (int64_t key : keys) {
+      k.Append(Value(key));
+      v.Append(Value(OrderSensitiveValue(next_value++)));
+    }
+    b.columns().push_back(std::move(k));
+    b.columns().push_back(std::move(v));
+    b.set_column_ids({0, 1});
+    return b;
+  };
+  std::vector<Batch> batches;
+  batches.push_back(make_batch({5, 5, 5, 7, 7, 5, 9, 9, 9, 5, -3, 7}));
+  batches.push_back(make_batch({7, 7, 11, 5, 11, 11, -3}));
+  batches.push_back(make_batch({-3}));
+  // Many distinct keys, interleaved, past the table's initial slots.
+  Batch wide;
+  wide.columns().emplace_back(TypeId::kInt64);
+  wide.columns().emplace_back(TypeId::kDouble);
+  wide.set_column_ids({0, 1});
+  for (int64_t i = 0; i < 3000; ++i) {
+    wide.column(0).Append(Value((i * 7919) % 1500));
+    wide.column(1).Append(Value(OrderSensitiveValue(next_value++)));
+  }
+  batches.push_back(std::move(wide));
+  ExpectAggMatchesReference(batches, {0}, 1);
 }
 
 TEST(OperatorEquivalenceTest, BatchGatherAndFilterHelpers) {

@@ -1,5 +1,6 @@
 // Memory-budget enforcement: pool/budget/lease charge-release
-// invariants, ResourceExhausted on oversized sorts and join builds,
+// invariants, ResourceExhausted on oversized sorts, aggregations and
+// join builds,
 // release on every error path (no leak once the operators die), the
 // shared process cap under concurrent chargers, and the join-build
 // partition spill path completing a query whose collect would otherwise
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "db/table.h"
+#include "exec/hash_agg.h"
 #include "exec/hash_join.h"
 #include "exec/pipeline.h"
 #include "exec/sort.h"
@@ -138,8 +140,9 @@ TEST(MemoryBudget, ConcurrentChargersRespectSharedCap) {
 }
 
 // ---------------------------------------------------------------------
-// Operator integration: sorts and join builds charge the thread-local
-// query budget and fail fast (releasing everything) when over cap.
+// Operator integration: sorts, aggregations and join builds charge the
+// thread-local query budget and fail fast (releasing everything) when
+// over cap.
 // ---------------------------------------------------------------------
 
 TEST(MemoryBudget, OversizedSerialSortFailsAndReleases) {
@@ -151,6 +154,25 @@ TEST(MemoryBudget, OversizedSerialSortFailsAndReleases) {
     SortNode sort(table->Scan({0, 1}), {{1, false}});
     Batch out;
     StatusOr<bool> more = sort.Next(&out, kDefaultBatchSize);
+    ASSERT_FALSE(more.ok());
+    EXPECT_EQ(more.status().code(), StatusCode::kResourceExhausted);
+  }
+  EXPECT_EQ(pool.used(), 0u);
+  EXPECT_EQ(budget->used(), 0u);
+}
+
+// The serial GROUP BY (every num_threads == 1 query) charges its group
+// table like the parallel partial-aggregation sink: 4000 distinct keys
+// at ~64 bytes a group overrun a 16 KiB cap.
+TEST(MemoryBudget, OversizedSerialAggFailsAndReleases) {
+  auto table = MakeIntTable("agg_budget", 4000);
+  MemoryPool pool(0);
+  auto budget = std::make_shared<MemoryBudget>("agg", 16 << 10, &pool);
+  {
+    ScopedQueryContext ctx(QueryContext{budget, 0, ""});
+    HashAggNode agg(table->Scan({0, 1}), {0}, {{AggKind::kSum, 1}});
+    Batch out;
+    StatusOr<bool> more = agg.Next(&out, kDefaultBatchSize);
     ASSERT_FALSE(more.ok());
     EXPECT_EQ(more.status().code(), StatusCode::kResourceExhausted);
   }
